@@ -14,25 +14,28 @@
 //! load_gen breach    [--clients N] [--out FILE]
 //! ```
 //!
-//! `smoke` is the CI gate: a fixed 64-client, two-tenant schedule on a
-//! [`ManualClock`], so two runs produce byte-identical `RunReport`s —
-//! diffable against `ci/baseline_serve_smoke.json` with `rpr-report
-//! diff`. `bench` runs ≥1k concurrent clients on the wall clock and
-//! writes `BENCH_serve.json` (together with the `overload` scenario,
-//! which pits a quota-busting tenant against a compliant one and
-//! checks the hog throttles itself).
+//! Every mode writes a `BenchRecord`. `smoke` is the CI gate: a fixed
+//! 64-client, two-tenant schedule on a [`ManualClock`], so two runs
+//! produce byte-identical records (the `RunReport` embedded, its
+//! accuracy, per-tenant delivered fraction gated) — checked against
+//! `ci/baseline_serve_smoke.json` with `rpr-report gate`. `bench` runs
+//! ≥1k concurrent clients on the wall clock and writes
+//! `BENCH_serve.json` (`load.*` metrics, plus `overload.*` from the
+//! `overload` scenario, which pits a quota-busting tenant against a
+//! compliant one and exits non-zero unless the hog throttles itself).
 //!
 //! `telemetry` is the live-observability gate: the same deterministic
 //! fleet with per-tenant SLOs, scraped by a [`ScrapeClient`]
 //! *mid-flight* — the Prometheus page must show non-zero per-tenant
-//! counters that never exceed final accounting — and emitting a
-//! `RunReport` with an `slos` section diffable against
-//! `ci/baseline_telemetry.json`. `breach` is its self-check: the same
-//! schedule with one tenant's quota zeroed so its SLO burn rate
+//! counters that never exceed final accounting — and emitting a record
+//! with `slo.<tenant>.burn_rate` and `.breaches` gated against
+//! `ci/baseline_telemetry.json`. `breach` is its negative check: the
+//! same schedule with one tenant's quota zeroed so its SLO burn rate
 //! breaches, which must fire the flight recorder (a valid Chrome trace
-//! dump) and move `slo.*.breaches` in the report — a non-zero
-//! `rpr-report diff` CI asserts on.
+//! dump) and move `slo.fleet-b.breaches` off zero — CI asserts that
+//! `rpr-report gate` fails this record on that metric.
 
+use rpr_bench::record::{BenchRecord, Metric, MODEL_BOUND, TIMING_BOUND};
 use rpr_core::{EncMask, EncodedFrame, FrameMetadata, PixelStatus};
 use rpr_serve::{
     session_script, Clock, ManualClock, ScrapeClient, ScriptedClient, Server, SloConfig,
@@ -178,19 +181,6 @@ fn make_plans(
         .collect()
 }
 
-fn write_or_print(out: &Option<String>, text: &str) {
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, text.to_string() + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("wrote {path}");
-        }
-        None => println!("{text}"),
-    }
-}
-
 /// The deterministic CI gate: 64 clients, two tenants (one of them
 /// frame-quota-limited so the throttle path is always exercised), a
 /// manual clock — emits a `RunReport` stable across runs and machines.
@@ -244,9 +234,8 @@ fn smoke(clients: u64, out: Option<String>) {
         "smoke: {} steps  {} delivered  peak {} open sessions",
         outcome.steps, outcome.delivered, outcome.peak_open_sessions
     );
-    if let Some(path) = out {
-        let text = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_or_print(&Some(path), &text);
+    if out.is_some() {
+        BenchRecord::from_report(report).emit(out.as_deref());
     }
 }
 
@@ -431,18 +420,17 @@ fn telemetry(clients: u64, out: Option<String>) {
     println!(
         "telemetry: {delivered} delivered  {live_reports} live reports  scrape saw {scraped_any} accepted mid-flight"
     );
-    if let Some(path) = out {
-        let text = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_or_print(&Some(path), &text);
+    if out.is_some() {
+        BenchRecord::from_report(report).emit(out.as_deref());
     }
 }
 
-/// The injected-breach self-check: same fleet, `fleet-b` quota zeroed.
-/// Every fleet-b frame becomes a bad SLO event, the burn rate crosses
-/// 1.0, and the flight recorder must dump a valid Chrome trace. The
-/// emitted report's `slo.fleet-b.breaches` moves off the baseline, so
-/// `rpr-report diff` against `ci/baseline_telemetry.json` must be
-/// non-zero — CI asserts both.
+/// The injected-breach negative check: same fleet, `fleet-b` quota
+/// zeroed. Every fleet-b frame becomes a bad SLO event, the burn rate
+/// crosses 1.0, and the flight recorder must dump a valid Chrome trace.
+/// The emitted record's `slo.fleet-b.breaches` moves off the baseline's
+/// zero, so `rpr-report gate` against `ci/baseline_telemetry.json` must
+/// fail — CI asserts both.
 fn breach(clients: u64, out: Option<String>, dump_out: Option<String>) {
     let (manual, clock, mut server, plans) = telemetry_fleet(clients, 0);
     let (_, delivered, _) =
@@ -479,15 +467,14 @@ fn breach(clients: u64, out: Option<String>, dump_out: Option<String>) {
         b.map(|s| s.burn_rate).unwrap_or(0.0),
         b.map(|s| s.breaches).unwrap_or(0),
     );
-    if let Some(path) = out {
-        let text = serde_json::to_string_pretty(&report).expect("report serializes");
-        write_or_print(&Some(path), &text);
+    if out.is_some() {
+        BenchRecord::from_report(report).emit(out.as_deref());
     }
 }
 
 /// Wall-clock load: `clients` concurrent bursty cameras over four
-/// tenants. Returns the JSON section for `BENCH_serve.json`.
-fn bench_load(clients: u64, n_frames: u64) -> serde_json::Value {
+/// tenants. Returns the `load.*` metrics of `BENCH_serve.json`.
+fn bench_load(clients: u64, n_frames: u64) -> Vec<Metric> {
     let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
     // A modest read quantum keeps each session alive across many steps,
     // so the whole fleet is genuinely concurrent rather than serialized
@@ -509,38 +496,38 @@ fn bench_load(clients: u64, n_frames: u64) -> serde_json::Value {
     let accepted: u64 = sections.iter().map(|s| s.frames_accepted).sum();
     let dropped: u64 = sections.iter().map(|s| s.frames_dropped).sum();
     let wall = outcome.wall_s.max(1e-9);
+    let sessions = stats.sessions_clean as f64;
+    let peak = outcome.peak_open_sessions as f64;
+    let p50 = percentile(&outcome.latencies_us, 0.50) as f64;
+    let p99 = percentile(&outcome.latencies_us, 0.99) as f64;
+    let drop_rate = dropped as f64 / (accepted + dropped).max(1) as f64;
     println!(
-        "bench: {} clients  peak {} open  {:.0} sessions/s  {:.2} MB/s  p50 {} µs  p99 {} µs  drop {:.4}",
-        clients,
-        outcome.peak_open_sessions,
-        stats.sessions_clean as f64 / wall,
+        "bench: {clients} clients  peak {peak} open  {:.0} sessions/s  {:.2} MB/s  p50 {p50} µs  p99 {p99} µs  drop {drop_rate:.4}",
+        sessions / wall,
         bytes as f64 / wall / 1e6,
-        percentile(&outcome.latencies_us, 0.50),
-        percentile(&outcome.latencies_us, 0.99),
-        dropped as f64 / (accepted + dropped).max(1) as f64,
     );
-    serde_json::json!({
-        "clients": clients,
-        "frames_per_client": n_frames,
-        "steps": outcome.steps,
-        "wall_s": outcome.wall_s,
-        "peak_open_sessions": outcome.peak_open_sessions,
-        "sessions_clean": stats.sessions_clean,
-        "sessions_per_s": stats.sessions_clean as f64 / wall,
-        "frames_delivered": outcome.delivered,
-        "frames_per_s": outcome.delivered as f64 / wall,
-        "ingest_mb_s": bytes as f64 / wall / 1e6,
-        "accept_to_deliver_p50_us": percentile(&outcome.latencies_us, 0.50),
-        "accept_to_deliver_p99_us": percentile(&outcome.latencies_us, 0.99),
-        "drop_rate": dropped as f64 / (accepted + dropped).max(1) as f64,
-    })
+    vec![
+        Metric::lower("load.steps", outcome.steps as f64, "count", TIMING_BOUND),
+        Metric::lower("load.wall_s", outcome.wall_s, "s", TIMING_BOUND),
+        Metric::higher("load.peak_open_sessions", peak, "count", TIMING_BOUND),
+        Metric::higher("load.sessions_clean", sessions, "count", MODEL_BOUND),
+        Metric::higher("load.sessions_per_s", sessions / wall, "1/s", TIMING_BOUND),
+        Metric::higher("load.frames_delivered", outcome.delivered as f64, "count", MODEL_BOUND),
+        Metric::higher("load.frames_per_s", outcome.delivered as f64 / wall, "1/s", TIMING_BOUND),
+        Metric::higher("load.ingest_mb_s", bytes as f64 / wall / 1e6, "MB/s", TIMING_BOUND),
+        Metric::lower("load.accept_to_deliver_p50_us", p50, "us", TIMING_BOUND),
+        Metric::lower("load.accept_to_deliver_p99_us", p99, "us", TIMING_BOUND),
+        Metric::lower("load.drop_rate", drop_rate, "fraction", MODEL_BOUND),
+    ]
 }
 
 /// Overload isolation: a hog tenant blasting past a tight byte quota
 /// into a drop-oldest queue, next to a compliant tenant inside its
 /// budget. The hog must throttle itself; the compliant tenant must see
-/// a ~zero drop rate.
-fn overload(clients: u64) -> serde_json::Value {
+/// a ~zero drop rate; the process exits non-zero otherwise. Returns
+/// the `overload.*` metrics, where a hog that throttles harder counts
+/// as better isolation.
+fn overload(clients: u64) -> Vec<Metric> {
     let manual = ManualClock::new();
     let clock: Arc<dyn Clock> = Arc::new(manual.clone());
     let mut server = Server::new(Arc::clone(&clock)).with_read_quantum(4096);
@@ -577,17 +564,21 @@ fn overload(clients: u64) -> serde_json::Value {
         "overload: hog throttled {} times (drop {:.3}), compliant drop {:.3}",
         hog.quota_throttles, hog_drop_rate, ok_drop_rate,
     );
-    serde_json::json!({
-        "clients": clients,
-        "steps": outcome.steps,
-        "wall_s": outcome.wall_s,
-        "hog_quota_throttles": hog.quota_throttles,
-        "hog_drop_rate": hog_drop_rate,
-        "hog_delivered_fraction": hog.delivered_fraction,
-        "compliant_drop_rate": ok_drop_rate,
-        "compliant_delivered_fraction": ok.delivered_fraction,
-        "isolated": isolated,
-    })
+    let (throttles, hog_delivered) = (hog.quota_throttles as f64, hog.delivered_fraction);
+    vec![
+        Metric::lower("overload.steps", outcome.steps as f64, "count", MODEL_BOUND),
+        Metric::lower("overload.wall_s", outcome.wall_s, "s", TIMING_BOUND),
+        Metric::higher("overload.hog_quota_throttles", throttles, "count", MODEL_BOUND),
+        Metric::higher("overload.hog_drop_rate", hog_drop_rate, "fraction", MODEL_BOUND),
+        Metric::lower("overload.hog_delivered_fraction", hog_delivered, "fraction", MODEL_BOUND),
+        Metric::lower("overload.compliant_drop_rate", ok_drop_rate, "fraction", MODEL_BOUND),
+        Metric::higher(
+            "overload.compliant_delivered_fraction",
+            ok.delivered_fraction,
+            "fraction",
+            MODEL_BOUND,
+        ),
+    ]
 }
 
 struct Args {
@@ -645,20 +636,19 @@ fn main() {
         "smoke" => smoke(args.clients.unwrap_or(64), args.out),
         "bench" => {
             let clients = args.clients.unwrap_or(1000);
-            let load = bench_load(clients, args.frames);
-            let over = overload(clients.clamp(16, 256));
-            let record = serde_json::json!({
-                "bench": "serve_load",
-                "load": load,
-                "overload": over,
-            });
-            let text = serde_json::to_string_pretty(&record).expect("record serializes");
-            write_or_print(&args.out, &text);
+            let over_clients = clients.clamp(16, 256);
+            let mut metrics = bench_load(clients, args.frames);
+            metrics.extend(overload(over_clients));
+            let bench = format!(
+                "serve_load ({clients} clients x {} frames; overload {over_clients} clients)",
+                args.frames
+            );
+            BenchRecord::new(bench, metrics).emit(args.out.as_deref());
         }
         "overload" => {
-            let record = overload(args.clients.unwrap_or(128));
-            let text = serde_json::to_string_pretty(&record).expect("record serializes");
-            write_or_print(&args.out, &text);
+            let clients = args.clients.unwrap_or(128);
+            BenchRecord::new(format!("serve_overload ({clients} clients)"), overload(clients))
+                .emit(args.out.as_deref());
         }
         "telemetry" => telemetry(args.clients.unwrap_or(32), args.out),
         "breach" => breach(args.clients.unwrap_or(32), args.out, args.dump),

@@ -10,27 +10,27 @@
 //! predict_bench [--frames N] [--out FILE]
 //! ```
 //!
-//! With `--out`, writes a `RunReport` whose `prediction` section and
-//! `accuracy` map carry the headline numbers — that is how
-//! `BENCH_predict.json` at the repo root is produced, and what CI
-//! diffs against `ci/baseline_predict.json` via `rpr-report diff`
-//! (the committed baseline pins the deterministic IoU and budget
-//! numbers, not machine-dependent throughput).
+//! With `--out`, writes a `BenchRecord` of the headline numbers — that
+//! is how `BENCH_predict.json` at the repo root is produced, and what
+//! CI gates against `ci/baseline_predict.json` with `rpr-report gate`.
+//! The committed baseline pins the deterministic IoU, budget and DRAM
+//! numbers, not the machine-dependent throughput (`vectors_per_s`,
+//! higher is better; `prediction_latency_us`, lower is better).
 //!
 //! The binary is additionally self-gating: it exits non-zero unless
 //! the predictive policy achieves strictly higher mean region IoU than
 //! the reactive policy at an equal-or-lower high-resolution pixel
 //! budget on the seeded panning scenario.
 
+use rpr_bench::record::{report_metrics, BenchRecord, Metric, MODEL_BOUND, TIMING_BOUND};
 use rpr_bench::report::memory_section;
 use rpr_bench::{print_table, Scale};
 use rpr_core::RegionLabel;
 use rpr_predict::{estimate_ego_motion, predict_labels, EgoEstimatorConfig, TrackerConfig};
-use rpr_trace::{RunReport, REPORT_SCHEMA_VERSION};
+use rpr_trace::RunReport;
 use rpr_vision::estimate_block_motion;
 use rpr_workloads::datasets::VideoDataset;
 use rpr_workloads::{run_tracking, MovingCameraDataset, PolicyKind, TrackingConfig};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The seeded panning scenario the acceptance gate runs on: a
@@ -40,6 +40,11 @@ const WIDTH: u32 = 192;
 const HEIGHT: u32 = 144;
 const PAN_SPEED: f64 = 7.0;
 const SEED: u64 = 11;
+
+/// Bound on the IoU-derived metrics: deterministic, but gated with
+/// 20 % slack so a tracker retune that trades a little IoU is not a
+/// regression.
+const IOU_BOUND: f64 = 0.20;
 
 struct Args {
     frames: usize,
@@ -153,48 +158,30 @@ fn main() {
         vectors_per_s, latency_us
     );
 
-    let mut accuracy = BTreeMap::new();
-    accuracy.insert("predictive_mean_iou".to_string(), predictive.mean_region_iou);
-    accuracy.insert("reactive_mean_iou".to_string(), reactive.mean_region_iou);
-    accuracy.insert(
-        "iou_gain".to_string(),
-        predictive.mean_region_iou - reactive.mean_region_iou,
-    );
-    // Budget headroom: reactive over predictive hi-res pixels. >= 1
-    // means prediction pays for itself; a drop below the slack floor
-    // trips the accuracy gate.
-    accuracy.insert(
-        "budget_headroom".to_string(),
-        reactive.hi_res_pixels as f64 / predictive.hi_res_pixels.max(1) as f64,
-    );
-    accuracy.insert("inlier_fraction".to_string(), predictive.mean_inlier_fraction);
-    // Machine-dependent; reported but deliberately left out of the
-    // committed baseline.
-    accuracy.insert("vectors_per_s".to_string(), vectors_per_s);
-    accuracy.insert("prediction_latency_us".to_string(), latency_us);
-
-    let report = RunReport {
-        schema_version: REPORT_SCHEMA_VERSION,
-        task: "predict_bench".to_string(),
-        dataset: ds.name().to_string(),
-        baseline: "reactive-cycle".to_string(),
-        frames: args.frames as u64,
-        accuracy,
-        memory: memory_section(&predictive.measurements),
-        prediction: Some(predictive.prediction_section()),
-        ..RunReport::default()
-    };
-    let pretty = serde_json::to_string_pretty(&report).expect("report serializes");
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, pretty + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("\nwrote {path}");
-        }
-        None => println!("\n{pretty}"),
-    }
+    // DRAM traffic is projected exactly as for every RunReport.
+    let memory = memory_section(&predictive.measurements);
+    let mut metrics = report_metrics(&RunReport { memory, ..RunReport::default() });
+    let (p, r) = (&predictive, &reactive);
+    metrics.extend([
+        Metric::higher("predictive_mean_iou", p.mean_region_iou, "IoU", IOU_BOUND),
+        Metric::higher("reactive_mean_iou", r.mean_region_iou, "IoU", IOU_BOUND),
+        Metric::higher("iou_gain", p.mean_region_iou - r.mean_region_iou, "IoU", IOU_BOUND),
+        // Reactive over predictive hi-res pixels: >= 1 means prediction
+        // pays for itself.
+        Metric::higher(
+            "budget_headroom",
+            r.hi_res_pixels as f64 / p.hi_res_pixels.max(1) as f64,
+            "ratio",
+            IOU_BOUND,
+        ),
+        Metric::higher("inlier_fraction", p.mean_inlier_fraction, "fraction", IOU_BOUND),
+        Metric::higher("prediction.mean_region_iou", p.mean_region_iou, "IoU", IOU_BOUND),
+        Metric::lower("prediction.hi_res_pixels", p.hi_res_pixels as f64, "px", MODEL_BOUND),
+        Metric::higher("vectors_per_s", vectors_per_s, "1/s", TIMING_BOUND),
+        Metric::lower("prediction_latency_us", latency_us, "us", TIMING_BOUND),
+    ]);
+    BenchRecord::new(format!("predict_bench ({}, {} frames)", ds.name(), args.frames), metrics)
+        .emit(args.out.as_deref());
 
     // The acceptance gate: prediction must buy accuracy, not budget.
     if predictive.mean_region_iou <= reactive.mean_region_iou {

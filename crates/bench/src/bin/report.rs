@@ -1,23 +1,26 @@
-//! `rpr-report` — run, render, and diff [`RunReport`]s.
+//! `rpr-report` — run, render, and gate [`BenchRecord`]s.
 //!
 //! ```text
-//! rpr-report run --task slam [--baseline rp10] [--out report.json]
+//! rpr-report run --task slam [--baseline rp10] [--out record.json]
 //!                [--trace trace.json] [--json]
-//! rpr-report render report.json
-//! rpr-report diff base.json new.json [--threshold PCT] [--dram PCT]
-//!                [--energy PCT] [--latency PCT] [--accuracy PCT]
-//!                [--ignore-latency] [--json]
+//! rpr-report render record.json
+//! rpr-report gate BASE NEW
 //! ```
 //!
 //! `run` executes one workload (at `RPR_SCALE`) with tracing enabled
-//! and emits the unified report; `--trace` additionally writes a Chrome
-//! trace-event file loadable in Perfetto. `diff` compares two reports
-//! and exits non-zero when any metric worsened beyond its threshold —
-//! the CI regression gate.
+//! and emits a `BenchRecord` of the report's gated metrics with the
+//! full `RunReport` embedded; `--trace` additionally writes a Chrome
+//! trace-event file loadable in Perfetto. `render` prints any record
+//! (and its embedded report). `gate` is the CI regression gate: it
+//! judges NEW against every metric of the committed baseline BASE at
+//! the baseline's own bounds, then checks in process that each gated
+//! metric, moved just past its bound, trips the gate. Exit status: 0
+//! pass, 1 regression, 2 unreadable input, 3 the self-check failed.
 
+use rpr_bench::record::{gate, self_check, BenchRecord};
 use rpr_bench::report::{parse_baseline, run_workload_report, ReportTask};
 use rpr_bench::Scale;
-use rpr_trace::{chrome_trace_json, diff_reports, DiffThresholds, RunReport};
+use rpr_trace::chrome_trace_json;
 use rpr_workloads::Baseline;
 use std::process::ExitCode;
 
@@ -26,15 +29,9 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage:\n  rpr-report run --task face|pose|slam [--baseline SPEC] \
          [--out FILE] [--trace FILE] [--json]\n  rpr-report render FILE\n  \
-         rpr-report diff BASE NEW [--threshold PCT] [--dram PCT] [--energy PCT] \
-         [--latency PCT] [--accuracy PCT] [--ignore-latency] [--json]"
+         rpr-report gate BASE NEW"
     );
     ExitCode::from(2)
-}
-
-fn read_report(path: &str) -> Result<RunReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: invalid RunReport: {e:?}"))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -70,15 +67,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
     let scale = Scale::from_env();
     let run = run_workload_report(task, baseline, &scale);
-    let report_json =
-        serde_json::to_string_pretty(&run.report).expect("report serializes");
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, &report_json) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote report to {path}");
-    }
     if let Some(path) = &trace {
         if let Err(e) = std::fs::write(path, chrome_trace_json(&run.events)) {
             eprintln!("error: {path}: {e}");
@@ -86,19 +74,29 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         eprintln!("wrote Chrome trace ({} events) to {path}", run.events.len());
     }
+    let record = BenchRecord::from_report(run.report);
+    if out.is_some() {
+        record.emit(out.as_deref());
+    }
     if json {
-        println!("{report_json}");
+        record.emit(None);
     } else {
-        print!("{}", run.report.render_text());
+        print!("{}", render(&record));
     }
     ExitCode::SUCCESS
 }
 
+/// The embedded report (when present) followed by the metric table.
+fn render(record: &BenchRecord) -> String {
+    let report = record.report.as_ref().map(|r| r.render_text()).unwrap_or_default();
+    report + &record.render_text()
+}
+
 fn cmd_render(args: &[String]) -> ExitCode {
     let [path] = args else { return usage("render takes exactly one file") };
-    match read_report(path) {
-        Ok(report) => {
-            print!("{}", report.render_text());
+    match BenchRecord::read(path) {
+        Ok(record) => {
+            print!("{}", render(&record));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -108,62 +106,48 @@ fn cmd_render(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let mut files: Vec<&String> = Vec::new();
-    let mut th = DiffThresholds::default();
-    let mut json = false;
-    let mut it = args.iter();
-    let parse_pct = |v: Option<&String>| v.and_then(|s| s.parse::<f64>().ok());
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => match parse_pct(it.next()) {
-                Some(p) => {
-                    th.dram_pct = p;
-                    th.energy_pct = p;
-                    th.latency_pct = p;
-                    th.accuracy_pct = p;
-                }
-                None => return usage("--threshold needs a percentage"),
-            },
-            "--dram" => match parse_pct(it.next()) {
-                Some(p) => th.dram_pct = p,
-                None => return usage("--dram needs a percentage"),
-            },
-            "--energy" => match parse_pct(it.next()) {
-                Some(p) => th.energy_pct = p,
-                None => return usage("--energy needs a percentage"),
-            },
-            "--latency" => match parse_pct(it.next()) {
-                Some(p) => th.latency_pct = p,
-                None => return usage("--latency needs a percentage"),
-            },
-            "--accuracy" => match parse_pct(it.next()) {
-                Some(p) => th.accuracy_pct = p,
-                None => return usage("--accuracy needs a percentage"),
-            },
-            "--ignore-latency" => th.check_latency = false,
-            "--json" => json = true,
-            other if !other.starts_with('-') => files.push(arg),
-            other => return usage(&format!("unknown argument {other}")),
-        }
-    }
-    let [base_path, new_path] = files[..] else {
-        return usage("diff takes exactly two report files");
+fn cmd_gate(args: &[String]) -> ExitCode {
+    let [base_path, new_path] = args else {
+        return usage("gate takes exactly two record files and no flags");
     };
-    let (base, new) = match (read_report(base_path), read_report(new_path)) {
+    if args.iter().any(|a| a.starts_with('-')) {
+        return usage("gate takes no flags: bounds come from the baseline");
+    }
+    let (base, new) = match (BenchRecord::read(base_path), BenchRecord::read(new_path)) {
         (Ok(b), Ok(n)) => (b, n),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-    let diff = diff_reports(&base, &new, &th);
-    if json {
-        println!("{}", serde_json::to_string_pretty(&diff).expect("diff serializes"));
-    } else {
-        print!("{}", diff.render_text());
+    if let Err(e) = base.validate_baseline() {
+        eprintln!("error: {base_path}: {e}");
+        return ExitCode::from(2);
     }
-    if diff.regressed() {
+    let checks = gate(&base, &new);
+    for c in &checks {
+        let new = c.new.map_or_else(|| "missing".to_string(), |v| format!("{v:.4}"));
+        println!(
+            "{:<40} {:>16.4} -> {:>16} (limit {:.4}, {} is better, bound {}%)  {}",
+            c.base.name,
+            c.base.value,
+            new,
+            c.base.limit(),
+            c.base.better.label(),
+            c.base.bound * 100.0,
+            if c.failed { "FAIL" } else { "ok" }
+        );
+    }
+    let failed = checks.iter().filter(|c| c.failed).count();
+    println!("gate: {failed} of {} baseline metrics failed", checks.len());
+    match self_check(&base, &new) {
+        Ok(n) => println!("self-check: {n} of {n} metrics trip the gate just past their bound"),
+        Err(e) => {
+            eprintln!("self-check FAILED: {e}");
+            return ExitCode::from(3);
+        }
+    }
+    if failed > 0 {
         eprintln!("regression detected ({base_path} -> {new_path})");
         ExitCode::FAILURE
     } else {
@@ -177,7 +161,7 @@ fn main() -> ExitCode {
         Some((cmd, rest)) => match cmd.as_str() {
             "run" => cmd_run(rest),
             "render" => cmd_render(rest),
-            "diff" => cmd_diff(rest),
+            "gate" => cmd_gate(rest),
             other => usage(&format!("unknown command {other}")),
         },
         None => usage("missing command"),

@@ -10,13 +10,17 @@
 //! ```
 //!
 //! Without `--streams` the binary sweeps the baseline series
-//! {1, 2, 4, 8} and, with `--out`, writes the full JSON record
-//! (telemetry included) — that is how `BENCH_stream.json` at the repo
-//! root is produced. Speedup over sequential is bounded by the core
-//! count, which the record stores honestly as `host_cores`.
+//! {1, 2, 4, 8} and, with `--out`, writes a `BenchRecord` — that is how
+//! `BENCH_stream.json` at the repo root is produced. Each stream count
+//! `N` contributes `streamsN.*` metrics; `streamsN.frames_per_s` is
+//! the frames delivered by all N streams over the staged run's wall
+//! time. Speedup over sequential is bounded by the core count, which
+//! the record stores as `host_cores`.
 
+use rpr_bench::record::{BenchRecord, Metric, MODEL_BOUND, TIMING_BOUND};
 use rpr_bench::{print_table, Scale};
-use rpr_stream::{BackpressureMode, StreamConfig, StreamManager, StreamTelemetry};
+use rpr_stream::telemetry::frames_per_second;
+use rpr_stream::{BackpressureMode, StreamConfig, StreamManager};
 use rpr_workloads::tasks::run_pose_with;
 use rpr_workloads::{pose_outcome, pose_spec, Baseline, PipelineConfig, PoseDataset};
 use std::time::Instant;
@@ -86,10 +90,32 @@ struct Run {
     mode: BackpressureMode,
     sequential_s: f64,
     staged_s: f64,
-    aggregate_fps: f64,
+    frames_out: u64,
     mean_map: f64,
     dropped: u64,
-    telemetry: Vec<StreamTelemetry>,
+}
+
+impl Run {
+    fn speedup(&self) -> f64 {
+        self.sequential_s / self.staged_s.max(1e-12)
+    }
+
+    fn frames_per_s(&self) -> f64 {
+        frames_per_second(self.frames_out, self.staged_s)
+    }
+
+    fn metrics(&self) -> Vec<Metric> {
+        let name = |m: &str| format!("streams{}.{m}", self.streams);
+        vec![
+            Metric::lower(name("sequential_s"), self.sequential_s, "s", TIMING_BOUND),
+            Metric::lower(name("staged_s"), self.staged_s, "s", TIMING_BOUND),
+            Metric::higher(name("speedup"), self.speedup(), "ratio", TIMING_BOUND),
+            Metric::higher(name("frames_out"), self.frames_out as f64, "count", MODEL_BOUND),
+            Metric::higher(name("frames_per_s"), self.frames_per_s(), "1/s", TIMING_BOUND),
+            Metric::higher(name("mean_map"), self.mean_map, "score", MODEL_BOUND),
+            Metric::lower(name("frames_dropped"), self.dropped as f64, "count", MODEL_BOUND),
+        ]
+    }
 }
 
 fn measure(streams: usize, mode: BackpressureMode, frames: usize) -> Run {
@@ -114,32 +140,15 @@ fn measure(streams: usize, mode: BackpressureMode, frames: usize) -> Run {
     let results = StreamManager::default().run_all(specs);
     let staged_s = t0.elapsed().as_secs_f64();
 
-    let telemetry: Vec<StreamTelemetry> = results.iter().map(|r| r.telemetry.clone()).collect();
-    let aggregate_fps = StreamTelemetry::aggregate_fps(&telemetry);
-    let dropped = telemetry.iter().map(|t| t.frames_dropped).sum();
+    let frames_out = results.iter().map(|r| r.telemetry.frames_out).sum();
+    let dropped = results.iter().map(|r| r.telemetry.frames_dropped).sum();
     let maps: Vec<f64> = results.into_iter().map(|r| pose_outcome(r).map).collect();
     let mean_map = maps.iter().sum::<f64>() / maps.len().max(1) as f64;
-    Run { streams, mode, sequential_s, staged_s, aggregate_fps, mean_map, dropped, telemetry }
-}
-
-/// Builds the JSON record for one run.
-fn run_json(run: &Run) -> serde_json::Value {
-    serde_json::json!({
-        "streams": run.streams,
-        "backpressure": run.mode.label(),
-        "sequential_s": run.sequential_s,
-        "staged_s": run.staged_s,
-        "speedup": run.sequential_s / run.staged_s.max(1e-12),
-        "aggregate_fps": run.aggregate_fps,
-        "mean_map": run.mean_map,
-        "frames_dropped": run.dropped,
-        "per_stream": serde_json::to_value(&run.telemetry).expect("telemetry serializes"),
-    })
+    Run { streams, mode, sequential_s, staged_s, frames_out, mean_map, dropped }
 }
 
 fn main() {
     let args = parse_args();
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let series: Vec<usize> = match args.streams {
         Some(n) => vec![n.max(1)],
         None => vec![1, 2, 4, 8],
@@ -156,34 +165,28 @@ fn main() {
                 r.mode.label().to_string(),
                 format!("{:.3}", r.sequential_s),
                 format!("{:.3}", r.staged_s),
-                format!("{:.2}x", r.sequential_s / r.staged_s.max(1e-12)),
-                format!("{:.1}", r.aggregate_fps),
+                format!("{:.2}x", r.speedup()),
+                format!("{:.1}", r.frames_per_s()),
                 format!("{:.3}", r.mean_map),
                 r.dropped.to_string(),
             ]
         })
         .collect();
+    let scale = Scale::from_env();
+    let record = BenchRecord::new(
+        format!(
+            "stream_scaling ({} backpressure, {}x{}, {} frames/stream)",
+            args.backpressure.label(),
+            scale.width,
+            scale.height,
+            args.frames
+        ),
+        runs.iter().flat_map(Run::metrics).collect(),
+    );
     print_table(
-        &format!("Stream scaling ({host_cores} host cores)"),
-        &["streams", "mode", "sequential s", "staged s", "speedup", "agg fps", "mAP", "dropped"],
+        &format!("Stream scaling ({} host cores)", record.host_cores),
+        &["streams", "mode", "sequential s", "staged s", "speedup", "frames/s", "mAP", "dropped"],
         &rows,
     );
-
-    let record = serde_json::json!({
-        "bench": "stream_scaling",
-        "host_cores": host_cores,
-        "frames_per_stream": args.frames,
-        "runs": runs.iter().map(run_json).collect::<Vec<_>>(),
-    });
-    let pretty = serde_json::to_string_pretty(&record).expect("record serializes");
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, pretty + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("\nwrote {}", path);
-        }
-        None => println!("\n{pretty}"),
-    }
+    record.emit(args.out.as_deref());
 }

@@ -10,9 +10,11 @@
 //! wire_bench [--frames N] [--out FILE]
 //! ```
 //!
-//! With `--out`, writes the full JSON record — that is how
-//! `BENCH_wire.json` at the repo root is produced.
+//! With `--out`, writes a `BenchRecord` with one `<workload>.rp<cycle>.*`
+//! group of metrics per recording — that is how `BENCH_wire.json` at
+//! the repo root is produced.
 
+use rpr_bench::record::{BenchRecord, Metric, MODEL_BOUND, TIMING_BOUND};
 use rpr_bench::{print_table, Scale};
 use rpr_wire::{read_all, WriterStats};
 use rpr_workloads::{
@@ -100,25 +102,35 @@ fn measure(workload: &'static str, cycle_length: u64, frames: usize) -> Run {
     Run { workload, cycle_length, stats, read_s, replay_s, frames_replayed: inputs.len() }
 }
 
-fn run_json(run: &Run) -> serde_json::Value {
+fn run_metrics(run: &Run) -> Vec<Metric> {
     let s = &run.stats;
-    serde_json::json!({
-        "workload": run.workload,
-        "cycle_length": run.cycle_length,
-        "frames": s.frames,
-        "payload_bytes": s.payload_bytes,
-        "raw_mask_bytes": s.raw_mask_bytes,
-        "rle_mask_bytes": s.rle_mask_bytes,
-        "mask_bytes_written": s.mask_bytes_written,
-        "rle_frames": s.rle_frames,
-        "container_bytes": s.container_bytes,
-        "mask_compression": s.rle_mask_bytes as f64 / (s.raw_mask_bytes.max(1)) as f64,
-        "container_overhead": s.container_bytes as f64
-            / (s.payload_bytes + s.mask_bytes_written).max(1) as f64,
-        "read_s": run.read_s,
-        "replay_s": run.replay_s,
-        "frames_replayed": run.frames_replayed,
-    })
+    let name = |m: &str| format!("{}.rp{}.{m}", run.workload, run.cycle_length);
+    let bytes = |m: &str, v: u64| Metric::lower(name(m), v as f64, "B", MODEL_BOUND);
+    let count = |m: &str, v: u64| Metric::higher(name(m), v as f64, "count", MODEL_BOUND);
+    vec![
+        count("frames", s.frames),
+        bytes("payload_bytes", s.payload_bytes),
+        bytes("raw_mask_bytes", s.raw_mask_bytes),
+        bytes("rle_mask_bytes", s.rle_mask_bytes),
+        bytes("mask_bytes_written", s.mask_bytes_written),
+        count("rle_frames", s.rle_frames),
+        bytes("container_bytes", s.container_bytes),
+        Metric::lower(
+            name("mask_compression"),
+            s.rle_mask_bytes as f64 / (s.raw_mask_bytes.max(1)) as f64,
+            "ratio",
+            MODEL_BOUND,
+        ),
+        Metric::lower(
+            name("container_overhead"),
+            s.container_bytes as f64 / (s.payload_bytes + s.mask_bytes_written).max(1) as f64,
+            "ratio",
+            MODEL_BOUND,
+        ),
+        Metric::lower(name("read_s"), run.read_s, "s", TIMING_BOUND),
+        Metric::lower(name("replay_s"), run.replay_s, "s", TIMING_BOUND),
+        count("frames_replayed", run.frames_replayed as u64),
+    ]
 }
 
 fn main() {
@@ -165,22 +177,9 @@ fn main() {
         &rows,
     );
 
-    let record = serde_json::json!({
-        "bench": "wire_roundtrip",
-        "width": scale.width,
-        "height": scale.height,
-        "frames_per_run": args.frames,
-        "runs": runs.iter().map(run_json).collect::<Vec<_>>(),
-    });
-    let pretty = serde_json::to_string_pretty(&record).expect("record serializes");
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, pretty + "\n") {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("\nwrote {}", path);
-        }
-        None => println!("\n{pretty}"),
-    }
+    BenchRecord::new(
+        format!("wire_roundtrip ({}x{}, {} frames/run)", scale.width, scale.height, args.frames),
+        runs.iter().flat_map(run_metrics).collect(),
+    )
+    .emit(args.out.as_deref());
 }

@@ -11,6 +11,7 @@
 
 #![deny(missing_docs)]
 
+pub mod record;
 pub mod report;
 
 use rpr_workloads::{FaceDataset, PoseDataset, SlamDataset};

@@ -36,10 +36,13 @@ fn evidence() -> impl Strategy<Value = Evidence> {
     })
 }
 
+/// `(path, source)` files and `(caller fn, target file, target fn)` edges.
+type Sources = (Vec<(String, String)>, Vec<(String, String, String)>);
+
 /// Builds the workspace sources: one file per type (every type gets
 /// the same-named `act` / `make` members), one caller file, and the
 /// ground-truth list of (caller fn, target file, target fn) edges.
-fn build_sources(calls: &[(usize, Evidence)], ntypes: usize) -> (Vec<(String, String)>, Vec<(String, String, String)>) {
+fn build_sources(calls: &[(usize, Evidence)], ntypes: usize) -> Sources {
     let mut files: Vec<(String, String)> = (0..ntypes)
         .map(|i| {
             (

@@ -5,8 +5,8 @@
 //! all sessions, never blocking on any of them. Determinism falls out:
 //! driven by a [`ManualClock`](crate::ManualClock) and a fixed client
 //! schedule, two runs make byte-identical decisions, which is what
-//! lets the CI smoke gate diff serving metrics like any other
-//! RunReport.
+//! lets the CI smoke gate check serving metrics against a committed
+//! baseline like any other RunReport.
 //!
 //! The per-frame path is: session bytes → protocol messages →
 //! incremental container decode → **tenant quota** (token buckets;
@@ -343,7 +343,7 @@ impl Server {
     }
 
     /// A live [`RunReport`] snapshot of the run so far: per-tenant
-    /// accounting plus SLO outcomes, diffable by `rpr-report` like any
+    /// accounting plus SLO outcomes, gateable by `rpr-report` like any
     /// finished run.
     pub fn live_report(&self) -> RunReport {
         let frames = self.live.snapshot().iter().map(|t| t.frames_accepted).sum();

@@ -180,7 +180,7 @@ fn slo_breach_fires_the_flight_recorder_once_per_episode() {
     serde_json::from_str::<serde_json::Value>(&dump).expect("dump parses as JSON");
     assert!(server.take_flight_dump().is_none(), "dump is taken once");
 
-    // The live report carries the SLO section for rpr-report diffing.
+    // The live report carries the SLO section the bench gate projects.
     let report = server.live_report();
     let slos = report.slos.as_deref().expect("slos section present");
     assert!(slos.iter().any(|s| s.tenant == "freeloader" && s.breaches == 1));

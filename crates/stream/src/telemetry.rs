@@ -68,13 +68,6 @@ pub struct StreamTelemetry {
     pub stages: Vec<StageTelemetry>,
 }
 
-impl StreamTelemetry {
-    /// Aggregate fps across a set of streams (sum of per-stream fps).
-    pub fn aggregate_fps(streams: &[StreamTelemetry]) -> f64 {
-        streams.iter().map(|s| s.end_to_end_fps).sum()
-    }
-}
-
 /// Throughput in frames per second, guarded against zero or negative
 /// wall time (returns 0.0 instead of `inf`/`NaN`). Every
 /// `frames / wall_time` division in the stack routes through here.

@@ -17,9 +17,6 @@
 //!   stable, versioned schema ([`REPORT_SCHEMA_VERSION`]) unifying
 //!   stream telemetry, memory traffic, energy, hardware power, region
 //!   statistics, accuracy, and per-region-label DRAM/energy attribution.
-//! * **Report diffing** ([`diff_reports`]): threshold-gated regression
-//!   comparison of two `RunReport`s, usable as a CI gate (the
-//!   `rpr-report` binary in `rpr-bench` is the CLI front end).
 //!
 //! # Quick start
 //!
@@ -60,9 +57,8 @@ pub use hist::{LatencyHistogram, LATENCY_BUCKETS_US};
 pub use live::{LiveCounter, LiveHistogram, LiveMetrics, TenantLive, TenantSnapshot};
 pub use registry::MetricsRegistry;
 pub use report::{
-    diff_reports, DiffThresholds, EnergySection, HwSection, LabelAttribution, MemorySection,
-    MetricDelta, PredictionSection, RegionSection, ReportDiff, RunReport, SloSection, StageSection,
-    StreamSection, TenantSection, REPORT_SCHEMA_VERSION,
+    EnergySection, HwSection, LabelAttribution, MemorySection, PredictionSection, RegionSection,
+    RunReport, SloSection, StageSection, StreamSection, TenantSection, REPORT_SCHEMA_VERSION,
 };
 pub use sink::{
     counter, counter_for_ctx, counter_for_frame, counter_for_region, disable, drain, enable,

@@ -1,5 +1,4 @@
-//! The `RunReport` schema — one serde document describing a whole run —
-//! plus threshold-gated diffing between two reports.
+//! The `RunReport` schema — one serde document describing a whole run.
 //!
 //! # Schema stability
 //!
@@ -228,7 +227,7 @@ pub struct SloSection {
 }
 
 /// One run of one workload, fully described: the unified document the
-/// `rpr-report` CLI renders and diffs.
+/// `rpr-report` CLI renders and projects onto gated metrics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Layout version ([`REPORT_SCHEMA_VERSION`] at write time).
@@ -425,231 +424,6 @@ impl RunReport {
     }
 }
 
-/// Regression thresholds for [`diff_reports`], in percent of the
-/// baseline value. A metric regresses when it *worsens* by more than
-/// its threshold (traffic/energy/latency up, throughput/accuracy down).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffThresholds {
-    /// Allowed DRAM-traffic growth (`write+read` bytes), percent.
-    pub dram_pct: f64,
-    /// Allowed energy growth (total mJ), percent.
-    pub energy_pct: f64,
-    /// Allowed stage-latency growth (per-stage p90), percent.
-    pub latency_pct: f64,
-    /// Allowed accuracy drop, percent.
-    pub accuracy_pct: f64,
-    /// Whether wall-clock-derived metrics (latency, fps) are compared at
-    /// all. Off when the two reports come from different machines.
-    pub check_latency: bool,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            dram_pct: 5.0,
-            energy_pct: 5.0,
-            latency_pct: 5.0,
-            accuracy_pct: 5.0,
-            check_latency: true,
-        }
-    }
-}
-
-/// One compared metric in a [`ReportDiff`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricDelta {
-    /// Metric name, e.g. `memory.write_bytes`.
-    pub name: String,
-    /// Baseline value.
-    pub base: f64,
-    /// Candidate value.
-    pub new: f64,
-    /// Signed change in percent of the baseline (0 when the baseline is
-    /// 0 and the candidate is too; 100 when growing from a 0 baseline).
-    pub pct_change: f64,
-    /// Threshold applied to this metric, percent.
-    pub threshold_pct: f64,
-    /// Whether the change is a regression beyond the threshold.
-    pub regressed: bool,
-}
-
-/// Outcome of [`diff_reports`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReportDiff {
-    /// Every compared metric, regressions first.
-    pub deltas: Vec<MetricDelta>,
-}
-
-impl ReportDiff {
-    /// Whether any compared metric regressed beyond its threshold.
-    pub fn regressed(&self) -> bool {
-        self.deltas.iter().any(|d| d.regressed)
-    }
-
-    /// Renders the comparison as a text table.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for d in &self.deltas {
-            let flag = if d.regressed { "REGRESSED" } else { "ok" };
-            out.push_str(&format!(
-                "{:<32} {:>14.3} -> {:>14.3}  {:>+8.2}% (limit {:.1}%)  {}\n",
-                d.name, d.base, d.new, d.pct_change, d.threshold_pct, flag
-            ));
-        }
-        out
-    }
-}
-
-fn pct_change(base: f64, new: f64) -> f64 {
-    if base == 0.0 {
-        if new == 0.0 {
-            0.0
-        } else {
-            100.0
-        }
-    } else {
-        (new - base) / base * 100.0
-    }
-}
-
-/// Direction in which a metric worsens.
-#[derive(Clone, Copy)]
-enum Worse {
-    Up,
-    Down,
-}
-
-fn delta(name: String, base: f64, new: f64, threshold_pct: f64, worse: Worse) -> MetricDelta {
-    let pct = pct_change(base, new);
-    let regressed = match worse {
-        Worse::Up => pct > threshold_pct,
-        Worse::Down => -pct > threshold_pct,
-    };
-    MetricDelta { name, base, new, pct_change: pct, threshold_pct, regressed }
-}
-
-/// Compares a candidate report against a baseline, flagging metrics that
-/// worsened beyond the [`DiffThresholds`].
-pub fn diff_reports(base: &RunReport, new: &RunReport, th: &DiffThresholds) -> ReportDiff {
-    let mut deltas = vec![
-        delta(
-            "memory.total_bytes".into(),
-            (base.memory.write_bytes + base.memory.read_bytes) as f64,
-            (new.memory.write_bytes + new.memory.read_bytes) as f64,
-            th.dram_pct,
-            Worse::Up,
-        ),
-        delta(
-            "memory.write_bytes".into(),
-            base.memory.write_bytes as f64,
-            new.memory.write_bytes as f64,
-            th.dram_pct,
-            Worse::Up,
-        ),
-        delta(
-            "memory.read_bytes".into(),
-            base.memory.read_bytes as f64,
-            new.memory.read_bytes as f64,
-            th.dram_pct,
-            Worse::Up,
-        ),
-        delta(
-            "memory.bytes_per_frame".into(),
-            base.memory.bytes_per_frame,
-            new.memory.bytes_per_frame,
-            th.dram_pct,
-            Worse::Up,
-        ),
-        delta(
-            "energy.total_mj".into(),
-            base.energy.total_mj,
-            new.energy.total_mj,
-            th.energy_pct,
-            Worse::Up,
-        ),
-    ];
-    for (name, base_v) in &base.accuracy {
-        if let Some(new_v) = new.accuracy.get(name) {
-            deltas.push(delta(
-                format!("accuracy.{name}"),
-                *base_v,
-                *new_v,
-                th.accuracy_pct,
-                Worse::Down,
-            ));
-        }
-    }
-    for bt in &base.tenants {
-        if let Some(nt) = new.tenants.iter().find(|t| t.tenant == bt.tenant) {
-            deltas.push(delta(
-                format!("tenant.{}.delivered_fraction", bt.tenant),
-                bt.delivered_fraction,
-                nt.delivered_fraction,
-                th.accuracy_pct,
-                Worse::Down,
-            ));
-        }
-    }
-    if let (Some(bp), Some(np)) = (&base.prediction, &new.prediction) {
-        deltas.push(delta(
-            "prediction.mean_region_iou".into(),
-            bp.mean_region_iou,
-            np.mean_region_iou,
-            th.accuracy_pct,
-            Worse::Down,
-        ));
-        deltas.push(delta(
-            "prediction.hi_res_pixels".into(),
-            bp.hi_res_pixels as f64,
-            np.hi_res_pixels as f64,
-            th.dram_pct,
-            Worse::Up,
-        ));
-    }
-    if let (Some(base_slos), Some(new_slos)) = (&base.slos, &new.slos) {
-        for bs in base_slos {
-            if let Some(ns) = new_slos.iter().find(|s| s.tenant == bs.tenant) {
-                deltas.push(delta(
-                    format!("slo.{}.burn_rate", bs.tenant),
-                    bs.burn_rate,
-                    ns.burn_rate,
-                    th.accuracy_pct,
-                    Worse::Up,
-                ));
-                deltas.push(delta(
-                    format!("slo.{}.breaches", bs.tenant),
-                    bs.breaches as f64,
-                    ns.breaches as f64,
-                    th.accuracy_pct,
-                    Worse::Up,
-                ));
-            }
-        }
-    }
-    if th.check_latency {
-        for (bs, ns) in base.streams.iter().zip(new.streams.iter()) {
-            deltas.push(delta(
-                format!("stream{}.end_to_end_fps", bs.stream_id),
-                bs.end_to_end_fps,
-                ns.end_to_end_fps,
-                th.latency_pct,
-                Worse::Down,
-            ));
-            for (bst, nst) in bs.stages.iter().zip(ns.stages.iter()) {
-                deltas.push(delta(
-                    format!("stream{}.stage.{}.p90_us", bs.stream_id, bst.name),
-                    bst.p90_us,
-                    nst.p90_us,
-                    th.latency_pct,
-                    Worse::Up,
-                ));
-            }
-        }
-    }
-    deltas.sort_by_key(|d| !d.regressed as u8);
-    ReportDiff { deltas }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,54 +482,6 @@ mod tests {
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
         assert!(json.contains("\"schema_version\": 1"));
-    }
-
-    #[test]
-    fn identical_reports_do_not_regress() {
-        let report = sample_report();
-        let diff = diff_reports(&report, &report, &DiffThresholds::default());
-        assert!(!diff.regressed(), "{}", diff.render_text());
-        assert!(!diff.deltas.is_empty());
-    }
-
-    #[test]
-    fn traffic_growth_beyond_threshold_regresses() {
-        let base = sample_report();
-        let mut new = base.clone();
-        new.memory.write_bytes = 1200; // +20% writes, > 5% total growth
-        let diff = diff_reports(&base, &new, &DiffThresholds::default());
-        assert!(diff.regressed());
-        let d = diff.deltas.iter().find(|d| d.name == "memory.write_bytes").unwrap();
-        assert!(d.regressed);
-        assert!((d.pct_change - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accuracy_drop_regresses_and_rise_does_not() {
-        let base = sample_report();
-        let mut worse = base.clone();
-        worse.accuracy.insert("iou".to_string(), 0.7);
-        assert!(diff_reports(&base, &worse, &DiffThresholds::default()).regressed());
-        let mut better = base.clone();
-        better.accuracy.insert("iou".to_string(), 0.9);
-        assert!(!diff_reports(&base, &better, &DiffThresholds::default()).regressed());
-    }
-
-    #[test]
-    fn latency_checks_can_be_disabled() {
-        let base = sample_report();
-        let mut new = base.clone();
-        new.streams[0].stages[0].p90_us = 5_000.0;
-        new.streams[0].end_to_end_fps = 10.0;
-        let th = DiffThresholds { check_latency: false, ..Default::default() };
-        assert!(!diff_reports(&base, &new, &th).regressed());
-        assert!(diff_reports(&base, &new, &DiffThresholds::default()).regressed());
-    }
-
-    #[test]
-    fn zero_baseline_changes_are_flagged_as_full_growth() {
-        assert_eq!(pct_change(0.0, 0.0), 0.0);
-        assert_eq!(pct_change(0.0, 5.0), 100.0);
     }
 
     #[test]
@@ -822,35 +548,6 @@ mod tests {
         assert_eq!(parsed.prediction, None);
     }
 
-    #[test]
-    fn prediction_iou_drop_regresses_and_budget_growth_regresses() {
-        let mut base = sample_report();
-        base.prediction = Some(PredictionSection {
-            mean_region_iou: 0.60,
-            frames_scored: 40,
-            mean_inlier_fraction: 0.9,
-            hi_res_pixels: 100_000,
-        });
-        let mut worse = base.clone();
-        worse.prediction.as_mut().unwrap().mean_region_iou = 0.50;
-        let diff = diff_reports(&base, &worse, &DiffThresholds::default());
-        assert!(diff.regressed(), "{}", diff.render_text());
-        let mut fatter = base.clone();
-        fatter.prediction.as_mut().unwrap().hi_res_pixels = 120_000;
-        assert!(diff_reports(&base, &fatter, &DiffThresholds::default()).regressed());
-        // Better IoU at the same budget is not a regression.
-        let mut better = base.clone();
-        better.prediction.as_mut().unwrap().mean_region_iou = 0.70;
-        assert!(!diff_reports(&base, &better, &DiffThresholds::default()).regressed());
-        // One-sided sections are skipped, not compared against zero.
-        let mut none = base.clone();
-        none.prediction = None;
-        assert!(diff_reports(&base, &none, &DiffThresholds::default())
-            .deltas
-            .iter()
-            .all(|d| !d.name.starts_with("prediction.")));
-    }
-
     fn slo_row(tenant: &str, burn: f64, breaches: u64) -> SloSection {
         SloSection {
             tenant: tenant.to_string(),
@@ -884,48 +581,5 @@ mod tests {
         assert!(!old.contains("\"slos\""), "{old}");
         let parsed: RunReport = serde_json::from_str(&old).unwrap();
         assert_eq!(parsed.slos, None);
-    }
-
-    #[test]
-    fn slo_burn_rate_growth_regresses() {
-        let mut base = sample_report();
-        base.slos = Some(vec![slo_row("acme", 0.0, 0)]);
-        // An injected breach against a zero-burn baseline must trip the
-        // gate (pct_change reports 100% growth from a 0 baseline).
-        let mut breached = base.clone();
-        breached.slos = Some(vec![slo_row("acme", 3.0, 1)]);
-        let diff = diff_reports(&base, &breached, &DiffThresholds::default());
-        assert!(diff.regressed(), "{}", diff.render_text());
-        let d = diff.deltas.iter().find(|d| d.name == "slo.acme.burn_rate").unwrap();
-        assert!(d.regressed);
-        assert_eq!(d.pct_change, 100.0);
-        // Identical SLO outcomes do not regress.
-        assert!(!diff_reports(&base, &base.clone(), &DiffThresholds::default()).regressed());
-        // A tenant only in the candidate is ignored.
-        let mut extra = base.clone();
-        extra.slos.as_mut().unwrap().push(slo_row("newcomer", 9.0, 4));
-        assert!(!diff_reports(&base, &extra, &DiffThresholds::default()).regressed());
-    }
-
-    #[test]
-    fn tenant_delivered_fraction_drop_regresses() {
-        let mut base = sample_report();
-        base.tenants = vec![tenant("acme", 100, 100)];
-        let mut new = base.clone();
-        new.tenants = vec![tenant("acme", 100, 60)];
-        let diff = diff_reports(&base, &new, &DiffThresholds::default());
-        let d = diff
-            .deltas
-            .iter()
-            .find(|d| d.name == "tenant.acme.delivered_fraction")
-            .expect("tenant delta present");
-        assert!(d.regressed, "{}", diff.render_text());
-        // A tenant only present in the candidate is ignored (new
-        // tenants cannot regress a baseline that never served them).
-        new.tenants.push(tenant("initech", 10, 0));
-        assert!(diff_reports(&base, &new, &DiffThresholds::default())
-            .deltas
-            .iter()
-            .all(|d| !d.name.contains("initech")));
     }
 }

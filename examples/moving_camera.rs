@@ -5,27 +5,22 @@
 //! every tracked object by a full motion step. Each rig runs twice,
 //! once under the reactive `CycleFeature` policy and once under
 //! `CyclePredictive` (ego-motion fit + forward projection), and the
-//! example prints the per-rig RunReport delta: mean region IoU against
-//! ground-truth tracks and the high-resolution pixel budget.
+//! example prints the per-rig delta: mean region IoU against ground-truth
+//! tracks and the high-resolution pixel budget.
 //!
 //! Run with: `cargo run --release --example moving_camera`
 
-use rhythmic_pixel_regions::trace::{diff_reports, DiffThresholds, RunReport};
 use rhythmic_pixel_regions::workloads::datasets::VideoDataset;
 use rhythmic_pixel_regions::workloads::{
-    run_tracking, MovingCameraDataset, PolicyKind, TrackingConfig, TrackingResult,
+    run_tracking, MovingCameraDataset, PolicyKind, TrackingConfig,
 };
 
-/// Wraps one tracking run as a RunReport so the two policies can be
-/// compared with the same diff tooling CI uses.
-fn report_for(name: &str, policy: &str, res: &TrackingResult) -> RunReport {
-    RunReport {
-        task: "moving-camera-tracking".to_string(),
-        dataset: name.to_string(),
-        baseline: policy.to_string(),
-        frames: res.frames_scored,
-        prediction: Some(res.prediction_section()),
-        ..RunReport::default()
+/// Percentage change from `base` to `new` (0 for a zero baseline).
+fn pct(base: f64, new: f64) -> f64 {
+    if base == 0.0 {
+        0.0
+    } else {
+        (new - base) / base * 100.0
     }
 }
 
@@ -52,17 +47,12 @@ fn main() {
             predictive.mean_inlier_fraction
         );
 
-        // The RunReport delta, reactive as the baseline: a negative
-        // IoU regression percentage means prediction improved it.
-        let base = report_for(rig.name(), "reactive", &reactive);
-        let new = report_for(rig.name(), "predictive", &predictive);
-        let diff = diff_reports(&base, &new, &DiffThresholds::default());
-        for d in diff.deltas.iter().filter(|d| d.name.starts_with("prediction.")) {
-            println!(
-                "  delta {}: {:.4} -> {:.4} ({:+.1}%)",
-                d.name, d.base, d.new, d.pct_change
-            );
-        }
+        // The per-rig delta, reactive as the baseline.
+        println!(
+            "  delta IoU {:+.1}%  hi-res px {:+.1}%",
+            pct(reactive.mean_region_iou, predictive.mean_region_iou),
+            pct(reactive.hi_res_pixels as f64, predictive.hi_res_pixels as f64)
+        );
         println!();
     }
 }
